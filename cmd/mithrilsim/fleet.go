@@ -54,16 +54,23 @@ func spawnWorkers(ctx context.Context, n, jobs int) (workers []string, shutdown 
 	if err != nil {
 		return nil, nil, fmt.Errorf("locating own binary to spawn workers: %w", err)
 	}
-	var procs []*exec.Cmd
+	type spawned struct {
+		cmd  *exec.Cmd
+		logs chan struct{} // closed once the worker's stderr reaches EOF
+	}
+	var procs []spawned
 	shutdown = func() {
 		// TERM first for a graceful drain (the worker's signal context
 		// shuts its HTTP server down), then reap; ctx cancellation is
-		// the hard-kill backstop via CommandContext.
+		// the hard-kill backstop via CommandContext. Wait closes the
+		// stderr pipe, so let the forwarder reach EOF (the worker has
+		// exited) first, or the worker's last log lines are lost.
 		for _, p := range procs {
-			_ = p.Process.Signal(syscall.SIGTERM)
+			_ = p.cmd.Process.Signal(syscall.SIGTERM)
 		}
 		for _, p := range procs {
-			_ = p.Wait()
+			<-p.logs
+			_ = p.cmd.Wait()
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -72,6 +79,9 @@ func spawnWorkers(ctx context.Context, n, jobs int) (workers []string, shutdown 
 			args = append(args, "-jobs", strconv.Itoa(jobs))
 		}
 		cmd := exec.CommandContext(ctx, exe, args...)
+		// A coordinator killed outright never runs shutdown: have the
+		// kernel TERM the worker when its parent dies.
+		dieWithParent(cmd)
 		stderr, err := cmd.StderrPipe()
 		if err != nil {
 			shutdown()
@@ -81,17 +91,21 @@ func spawnWorkers(ctx context.Context, n, jobs int) (workers []string, shutdown 
 			shutdown()
 			return nil, nil, fmt.Errorf("spawning worker %d: %w", i, err)
 		}
-		procs = append(procs, cmd)
+		logs := make(chan struct{})
+		procs = append(procs, spawned{cmd: cmd, logs: logs})
 		buf := bufio.NewReader(stderr)
 		url, err := awaitAnnounce(buf)
+		// Keep forwarding the worker's log lines until EOF, when the
+		// worker exits.
+		go func() {
+			defer close(logs)
+			_, _ = io.Copy(os.Stderr, buf)
+		}()
 		if err != nil {
 			shutdown()
 			return nil, nil, fmt.Errorf("worker %d never announced its address: %w", i, err)
 		}
 		workers = append(workers, url)
-		// Keep forwarding the worker's log lines; the goroutine exits at
-		// EOF when the worker does.
-		go func() { _, _ = io.Copy(os.Stderr, buf) }()
 	}
 	fmt.Fprintf(os.Stderr, "mithrilsim: spawned %d local workers: %s\n", n, strings.Join(workers, " "))
 	return workers, shutdown, nil

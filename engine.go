@@ -96,9 +96,9 @@ func WithResultStore(st ResultStore) EngineOption {
 // partitioned into shards, shards stream back over POST /v1/run, failed
 // or disconnected shards are re-dispatched against surviving workers,
 // and rows merge back in deterministic grid order — RunSpec output is
-// byte-identical to a local run. Composes with WithResultStore (the
-// coordinator consults the store before dispatching and writes worker
-// rows back, so a retried row is never simulated twice) and WithJobs
+// byte-identical to a local run. Composes with WithResultStore (stored
+// rows are served before any dispatch and worker rows are written back,
+// exactly as in a local run) and WithJobs
 // (applied to rows the coordinator must run locally, i.e. trace-file
 // workloads that cannot travel). An empty or malformed worker list
 // surfaces as an error from the first RunSpec/Stream call.
@@ -170,15 +170,18 @@ func (e *Engine) RunSpec(ctx context.Context, sp *ExperimentSpec) (*ExperimentRe
 }
 
 // RunSpecAt is RunSpec at an explicit scale (the CLI's figure commands
-// pass their quick/full scale over the spec's own).
+// pass their quick/full scale over the spec's own). It drains StreamAt
+// into the result, so local and fleet runs share one batch path.
 func (e *Engine) RunSpecAt(ctx context.Context, sp *ExperimentSpec, sc Scale) (*ExperimentResult, error) {
-	if e.coordErr != nil {
-		return nil, e.coordErr
+	sc = e.applyJobs(sc)
+	var rows []ExperimentResultRow
+	for row, err := range e.StreamAt(ctx, sp, sc) {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
-	if e.coord != nil {
-		return e.coord.RunAt(ctx, sp, e.applyJobs(sc), e.execOptions())
-	}
-	return sp.RunAtContext(ctx, e.applyJobs(sc), e.execOptions())
+	return sp.NewResult(sc, rows)
 }
 
 // Stream executes a spec at its own scale and yields each output row as
@@ -198,14 +201,20 @@ func (e *Engine) Stream(ctx context.Context, sp *ExperimentSpec) iter.Seq2[Exper
 
 // StreamAt is Stream at an explicit scale.
 func (e *Engine) StreamAt(ctx context.Context, sp *ExperimentSpec, sc Scale) iter.Seq2[ExperimentResultRow, error] {
-	if e.coordErr != nil {
-		err := e.coordErr
+	sc = e.applyJobs(sc)
+	var seq iter.Seq2[ExperimentResultRow, error]
+	err := e.coordErr
+	switch {
+	case err != nil:
+	case e.coord != nil:
+		seq, err = e.coord.Stream(ctx, sp, sc, e.execOptions())
+	default:
+		seq, err = sp.StreamRowsAt(ctx, sc, nil, e.execOptions())
+	}
+	if err != nil {
 		return func(yield func(ExperimentResultRow, error) bool) { yield(ExperimentResultRow{}, err) }
 	}
-	if e.coord != nil {
-		return e.coord.StreamAt(ctx, sp, e.applyJobs(sc), e.execOptions())
-	}
-	return sp.StreamAt(ctx, e.applyJobs(sc), e.execOptions())
+	return seq
 }
 
 // RunParallelContext executes fn(ctx, 0..n-1) on up to jobs workers (0 =

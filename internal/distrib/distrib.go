@@ -4,23 +4,28 @@
 // back over the /v1/run NDJSON wire format, merges the streams in
 // completion order, and re-dispatches the unserved remainder of a failed
 // or disconnected shard against surviving workers with bounded backoff.
-// A shared content-addressed result store (internal/resultstore) is the
-// dedup layer: rows the store already holds are served without dispatch,
-// rows workers complete are written back, and re-dispatched rows probe
-// the store again first — so a row is simulated at most once even when
-// the worker that computed it died before delivering it.
+//
+// The coordinator only sources rows. How a row meets the result store and
+// the caller belongs to internal/expspec: the execution's expspec.Binding
+// probes the store once, before the first dispatch (a fully stored grid
+// dispatches nothing), and every row — a store hit, a worker row, or a
+// row run locally — passes through Binding.Complete, which writes it back
+// unless the store already holds it and steps the Progress count. A
+// re-dispatched row needs no probe of its own: a worker sharing the store
+// serves it as a hit, so a row is simulated at most once even when the
+// worker that computed it died before delivering it.
 //
 // Rows that cannot leave the coordinator — trace-replay workloads, whose
 // files live on the coordinator's filesystem and are deliberately
-// rejected by workers — execute locally through the same subset executor
-// (expspec.StreamRowsAt) and merge into the identical stream, so a spec
+// rejected by workers — execute locally through the binding's own worker
+// pool (Binding.Rows) and merge into the identical stream, so a spec
 // mixing trace and synthetic rows still fans out everything it can.
 //
 // The merge is byte-exact: shard rows travel as store payload encodings
-// (float64 round-trips exactly), collection is completion-order, and
-// assembly sorts by Row.Index into Spec.Expand order, so a distributed
-// run's output is byte-identical to a local one — the same invariant the
-// parallel sweep engine keeps over goroutines, kept over machines.
+// (float64 round-trips exactly), and Spec.NewResult sorts the collected
+// rows by Row.Index into Spec.Expand order, so a distributed run's output
+// is byte-identical to a local one — the same invariant the parallel
+// sweep engine keeps over goroutines, kept over machines.
 package distrib
 
 import (

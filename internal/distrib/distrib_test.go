@@ -71,6 +71,23 @@ func localGolden(t *testing.T, sp *expspec.Spec, sc expspec.Scale) string {
 	return res.Golden()
 }
 
+// runFleet is the batch form of a fleet execution: the coordinator's row
+// stream drained into Spec.NewResult, exactly as Engine.RunSpecAt does.
+func runFleet(ctx context.Context, c *distrib.Coordinator, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*expspec.Result, error) {
+	seq, err := c.Stream(ctx, sp, sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	var rows []expspec.Row
+	for row, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return sp.NewResult(sc, rows)
+}
+
 func newCoordinator(t *testing.T, workers []string) *distrib.Coordinator {
 	t.Helper()
 	c, err := distrib.New(workers, distrib.Options{MaxFailures: 3, Backoff: time.Millisecond})
@@ -133,7 +150,7 @@ func TestFleetEquivalenceShippedQuickSpecs(t *testing.T) {
 		quick++
 		t.Run(sp.Name, func(t *testing.T) {
 			want := localGolden(t, sp, sc)
-			res, err := coord.RunAt(context.Background(), sp, sc, nil)
+			res, err := runFleet(context.Background(), coord, sp, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +270,7 @@ func TestShardRetryRedispatch(t *testing.T) {
 	defer ts.Close()
 
 	coord := newCoordinator(t, []string{ts.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, &expspec.ExecOptions{Store: store})
+	res, err := runFleet(context.Background(), coord, sp, sc, &expspec.ExecOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +302,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	defer healthy.Close()
 
 	coord := newCoordinator(t, []string{dying.URL, healthy.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, nil)
+	res, err := runFleet(context.Background(), coord, sp, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +329,7 @@ func TestAllWorkersDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.RunAt(context.Background(), sp, sc, nil)
+	_, err = runFleet(context.Background(), c, sp, sc, nil)
 	if err == nil || !strings.Contains(err.Error(), "workers dropped") {
 		t.Fatalf("error = %v, want the all-workers-dropped failure", err)
 	}
@@ -335,7 +352,7 @@ func TestPermanentErrorStopsImmediately(t *testing.T) {
 	defer ts.Close()
 
 	coord := newCoordinator(t, []string{ts.URL})
-	_, err := coord.RunAt(context.Background(), sp, sc, nil)
+	_, err := runFleet(context.Background(), coord, sp, sc, nil)
 	if err == nil || !strings.Contains(err.Error(), "shard rejected for the test") {
 		t.Fatalf("error = %v, want the worker's permanent rejection", err)
 	}
@@ -355,7 +372,7 @@ func TestMixedLocalRemoteRows(t *testing.T) {
 	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 	coord := newCoordinator(t, []string{ts.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, nil)
+	res, err := runFleet(context.Background(), coord, sp, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +389,159 @@ func TestStreamConsumerBreak(t *testing.T) {
 	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 	coord := newCoordinator(t, []string{ts.URL})
-	for _, err := range coord.StreamAt(context.Background(), sp, sc, nil) {
+	seq, err := coord.Stream(context.Background(), sp, sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range seq {
 		if err != nil {
 			t.Fatal(err)
 		}
 		break
+	}
+}
+
+// countPosts wraps a worker handler and counts the shard POSTs it
+// receives: a row the coordinator's store already holds must never reach
+// a worker.
+func countPosts(h http.Handler) (http.Handler, *atomic.Int32) {
+	var posts atomic.Int32
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == distrib.RunPath && r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}), &posts
+}
+
+// warmRows stores the named grid rows by running them locally.
+func warmRows(t *testing.T, sp *expspec.Spec, sc expspec.Scale, store resultstore.Store, rows []int) {
+	t.Helper()
+	seq, err := sp.StreamRowsAt(context.Background(), sc, rows, &expspec.ExecOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range seq {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFleetWarmStore pins the fully warm case: every row is served from
+// the coordinator's store, no shard is dispatched, and the run returns
+// (it once waited forever for a shard it never sent). The deadline turns
+// a hang into a failure instead of a stuck suite.
+func TestFleetWarmStore(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	sp, sc := parseSpec(t, retrySpec)
+	want := localGolden(t, sp, sc)
+	store := resultstore.NewMem()
+	warmRows(t, sp, sc, store, nil)
+
+	h, posts := countPosts(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := runFleet(ctx, newCoordinator(t, []string{ts.URL}), sp, sc, &expspec.ExecOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Golden(); got != want {
+		t.Errorf("warm-store golden output diverges from local:\nlocal:\n%s\ndistributed:\n%s", want, got)
+	}
+	if grid := len(sp.Expand(sc)); res.RowsCached != grid || res.RowsSimulated != 0 {
+		t.Errorf("RowsCached=%d RowsSimulated=%d, want %d and 0", res.RowsCached, res.RowsSimulated, grid)
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("%d shard POSTs for a fully stored grid, want 0", n)
+	}
+}
+
+// TestFleetHalfWarmStore pins the mixed case: stored rows are served
+// without dispatch, the rest are simulated remotely, and the output is
+// byte-identical to a local run.
+func TestFleetHalfWarmStore(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	sp, sc := parseSpec(t, retrySpec)
+	want := localGolden(t, sp, sc)
+	store := resultstore.NewMem()
+	warmRows(t, sp, sc, store, []int{0, 2, 4, 6})
+
+	h, posts := countPosts(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := runFleet(ctx, newCoordinator(t, []string{ts.URL}), sp, sc, &expspec.ExecOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Golden(); got != want {
+		t.Errorf("half-warm golden output diverges from local:\nlocal:\n%s\ndistributed:\n%s", want, got)
+	}
+	if res.RowsCached != 4 || res.RowsSimulated != 4 {
+		t.Errorf("RowsCached=%d RowsSimulated=%d, want 4 and 4", res.RowsCached, res.RowsSimulated)
+	}
+	if posts.Load() == 0 {
+		t.Error("no shard POSTs, yet half the grid was not stored")
+	}
+}
+
+// TestFleetProgressMixedRows pins progress accounting across every row
+// source at once — store hits, rows the coordinator runs itself (trace
+// replays) and worker rows: the hook steps 1..N exactly once, in order,
+// against the grid total.
+func TestFleetProgressMixedRows(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	sp, sc := parseSpec(t, mixedSpec)
+	want := localGolden(t, sp, sc)
+	store := resultstore.NewMem()
+	var remote []int
+	for i, c := range sp.Expand(sc) {
+		if !strings.HasPrefix(c.Workload, "trace:") {
+			remote = append(remote, i)
+		}
+	}
+	warmRows(t, sp, sc, store, remote[:1])
+
+	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
+	defer ts.Close()
+	var dones []int
+	totals := map[int]bool{}
+	eng := mithril.NewEngine(mithril.DDR5(),
+		mithril.WithWorkers([]string{ts.URL}),
+		mithril.WithResultStore(store),
+		mithril.WithProgress(func(done, total int) {
+			dones = append(dones, done)
+			totals[total] = true
+		}))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := eng.RunSpecAt(ctx, sp, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Golden(); got != want {
+		t.Errorf("mixed golden output diverges from local:\nlocal:\n%s\ndistributed:\n%s", want, got)
+	}
+	n := len(sp.Expand(sc))
+	if len(remote) == 0 || len(remote) == n {
+		t.Fatalf("mixedSpec has %d remote rows of %d; the test needs both kinds", len(remote), n)
+	}
+	if res.RowsCached != 1 {
+		t.Errorf("RowsCached = %d, want the 1 warmed row", res.RowsCached)
+	}
+	if len(dones) != n {
+		t.Fatalf("progress called %d times (%v), want %d", len(dones), dones, n)
+	}
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("progress sequence %v, want 1..%d", dones, n)
+		}
+	}
+	if len(totals) != 1 || !totals[n] {
+		t.Errorf("progress totals %v, want only %d", totals, n)
 	}
 }

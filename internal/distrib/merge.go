@@ -9,108 +9,57 @@ import (
 	"io"
 	"iter"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"mithril/internal/expspec"
-	"mithril/internal/resultstore"
 	"mithril/internal/trace"
 )
 
-// RunAt executes the spec's full grid across the worker pool and returns
-// the assembled Result in deterministic Expand order — the distributed
-// twin of Spec.RunAtContext, byte-identical to it.
-func (c *Coordinator) RunAt(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*expspec.Result, error) {
-	rows := make([]expspec.Row, 0, 64)
-	for row, err := range c.StreamAt(ctx, sp, sc, opts) {
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	return sp.NewResult(sc, rows)
-}
-
-// StreamAt executes the spec's full grid across the worker pool, yielding
-// rows in completion order exactly like Spec.StreamAt: the sequence
-// terminates with a single non-nil error on failure, breaking out cancels
-// everything in flight, and no goroutine survives the range ending.
-func (c *Coordinator) StreamAt(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) iter.Seq2[expspec.Row, error] {
-	seq, err := c.Stream(ctx, sp, sc, opts)
-	if err != nil {
-		return func(yield func(expspec.Row, error) bool) { yield(expspec.Row{}, err) }
-	}
-	return seq
-}
-
-// Stream is StreamAt with construction errors — invalid spec, unkeyable
-// cells — returned before the first yield, mirroring Spec.StreamRowsAt:
-// a streaming server can reject the request before committing to a
-// response header.
+// Stream executes the spec's full grid across the worker pool, yielding
+// rows in completion order exactly like Spec.StreamRowsAt: construction
+// errors — invalid spec, unkeyable cells — come back before the first
+// yield, so a streaming server can reject the request before committing
+// to a response header; the sequence terminates with a single non-nil
+// error on failure; breaking out cancels everything in flight, and no
+// goroutine survives the range ending. Engine.RunSpecAt drains it into
+// Spec.NewResult for the batch form.
 func (c *Coordinator) Stream(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (iter.Seq2[expspec.Row, error], error) {
-	st, err := c.prepare(sp, sc, opts)
+	b, err := sp.Bind(sc, nil, opts)
 	if err != nil {
-		return nil, err
-	}
-	return st.stream(ctx), nil
-}
-
-// execState is one distributed execution's precomputed view: the spec on
-// the wire, the expanded grid, the store binding, and the local/remote
-// row partition.
-type execState struct {
-	c        *Coordinator
-	sp       *expspec.Spec
-	sc       expspec.Scale
-	opts     *expspec.ExecOptions
-	specJSON json.RawMessage
-	cells    []expspec.Cell
-	stamp    string
-
-	store     resultstore.Store
-	keys      []resultstore.Key
-	cacheable []bool
-
-	// local rows execute on the coordinator (trace-replay workloads read
-	// coordinator-side files workers deliberately refuse); remote rows
-	// are the dispatch pool.
-	local  []int
-	remote []int
-}
-
-func (c *Coordinator) prepare(sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*execState, error) {
-	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
 	specJSON, err := json.Marshal(sp)
 	if err != nil {
 		return nil, err
 	}
-	st := &execState{
-		c: c, sp: sp, sc: sc, opts: opts,
-		specJSON: specJSON,
-		cells:    sp.Expand(sc),
-		stamp:    expspec.StoreStamp(),
-	}
-	if opts != nil && opts.Store != nil {
-		st.store = opts.Store
-		_, keys, cacheable, err := sp.StoreKeys(sc)
-		if err != nil {
-			return nil, err
-		}
-		st.keys, st.cacheable = keys, cacheable
-	}
-	for i, cell := range st.cells {
+	st := &execState{c: c, b: b, sp: sp, sc: sc, specJSON: specJSON}
+	for i, cell := range b.Cells() {
 		if strings.HasPrefix(cell.Workload, trace.TracePrefix) {
 			st.local = append(st.local, i)
 		} else {
 			st.remote = append(st.remote, i)
 		}
 	}
-	return st, nil
+	return st.stream(ctx), nil
+}
+
+// execState is one distributed execution's precomputed view: the spec on
+// the wire, the execution's store and progress binding, and the
+// local/remote row partition.
+type execState struct {
+	c        *Coordinator
+	b        *expspec.Binding
+	sp       *expspec.Spec
+	sc       expspec.Scale
+	specJSON json.RawMessage
+
+	// local rows execute on the coordinator (trace-replay workloads read
+	// coordinator-side files workers deliberately refuse); remote rows
+	// are the dispatch pool.
+	local  []int
+	remote []int
 }
 
 // event is the merge loop's single message type; kind selects which
@@ -135,18 +84,17 @@ const (
 	evReady
 )
 
-// stream is the merge loop. Shard goroutines POST row subsets and feed
-// decoded rows back; failures requeue their unserved remainder and park
-// the worker behind an exponential backoff; the store is probed before
-// every (re)dispatch so rows that ever reached it are never simulated
-// twice. The loop owns every slice it touches — goroutines communicate
-// only through the events channel.
+// stream is the merge loop. The store is probed once, before the first
+// dispatch; shard goroutines POST row subsets and feed decoded rows back;
+// failures requeue their unserved remainder and park the worker behind an
+// exponential backoff (a requeued row needs no probe of its own: a worker
+// sharing the store serves it as a hit). Every row, whatever its source,
+// is handed to the binding's Complete exactly once, and the loop ends when
+// every row is delivered. The loop owns every slice it touches —
+// goroutines communicate only through the events channel.
 func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 	return func(yield func(expspec.Row, error) bool) {
-		total := len(st.cells)
-		if total == 0 {
-			return
-		}
+		total := len(st.b.Cells())
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		events := make(chan event)
@@ -176,7 +124,7 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 		busy := make([]bool, nw) // shard in flight, or parked in backoff
 		dropped := make([]bool, nw)
 		failures := make([]int, nw)
-		pool := append([]int(nil), st.remote...)
+		var pool []int
 		done := make([]bool, total)
 		completed := 0
 		var lastErr error
@@ -185,16 +133,25 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 			if done[row.Index] {
 				return true
 			}
+			row, err := st.b.Complete(row)
+			if err != nil {
+				yield(expspec.Row{}, err)
+				return false
+			}
 			done[row.Index] = true
 			completed++
-			if st.opts != nil && st.opts.Progress != nil {
-				st.opts.Progress(completed, total)
-			}
 			return yield(row, nil)
 		}
 
+		for _, i := range st.remote {
+			if row, ok := st.b.Hit(i); !ok {
+				pool = append(pool, i)
+			} else if !deliver(row) {
+				return
+			}
+		}
 		if len(st.local) > 0 {
-			seq, err := st.sp.StreamRowsAt(cctx, st.sc, st.local, st.localOpts())
+			seq, err := st.b.Rows(cctx, st.local)
 			if err != nil {
 				yield(expspec.Row{}, err)
 				return
@@ -239,27 +196,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 			}
 			return live
 		}
-		// serveFromStore drains store hits out of the pool before any
-		// dispatch: on first entry this is sweep resumption, on requeue it
-		// is the dedup that keeps a re-dispatched row from re-simulating
-		// when the failed worker managed to write it before dying.
-		serveFromStore := func() bool {
-			if st.store == nil || len(pool) == 0 {
-				return true
-			}
-			rest := pool[:0]
-			for _, i := range pool {
-				if row, ok := st.storeHit(i); ok {
-					if !deliver(row) {
-						return false
-					}
-				} else {
-					rest = append(rest, i)
-				}
-			}
-			pool = rest
-			return true
-		}
 		// dispatch carves shards for idle workers. Shards are fractions of
 		// the remaining pool (not 1/N of the grid): workers come back for
 		// more as they finish, so a slow or freshly-recovered worker
@@ -286,9 +222,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 				yield(expspec.Row{}, err)
 				return
 			}
-			if !serveFromStore() {
-				return
-			}
 			if len(pool) > 0 && allDropped() {
 				err := fmt.Errorf("distrib: all %d workers dropped with %d of %d rows undelivered", nw, total-completed, total)
 				if lastErr != nil {
@@ -302,10 +235,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 			case ev := <-events:
 				switch ev.kind {
 				case evRow:
-					if err := st.writeBack(ev.row); err != nil {
-						yield(expspec.Row{}, err)
-						return
-					}
 					if !deliver(ev.row) {
 						return
 					}
@@ -364,55 +293,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 	}
 }
 
-// localOpts strips the Progress hook from the caller's options: the
-// coordinator reports progress over the merged stream itself, so the
-// local sub-execution must not double-report against subset-local totals.
-func (st *execState) localOpts() *expspec.ExecOptions {
-	if st.opts == nil {
-		return nil
-	}
-	return &expspec.ExecOptions{Baselines: st.opts.Baselines, Store: st.opts.Store}
-}
-
-// storeHit serves grid row i from the coordinator's store. Any defect —
-// missing record, stale stamp, undecodable payload — is a miss, never an
-// error, exactly as in the local executor.
-func (st *execState) storeHit(i int) (expspec.Row, bool) {
-	if st.store == nil || !st.cacheable[i] {
-		return expspec.Row{}, false
-	}
-	rec, ok := st.store.Get(st.keys[i])
-	if !ok || rec.Stamp != st.stamp {
-		return expspec.Row{}, false
-	}
-	row := expspec.Row{Index: i, Cell: st.cells[i]}
-	if !expspec.DecodeRowPayload(st.sp.Kind, rec.Payload, &row) {
-		return expspec.Row{}, false
-	}
-	row.Cached = true
-	return row, true
-}
-
-// writeBack persists a worker-delivered row. A write failure is loud, as
-// in the local executor: rows the operator asked to persist are being
-// lost, and the next failover would silently re-simulate them.
-func (st *execState) writeBack(row expspec.Row) error {
-	if st.store == nil || row.Index >= len(st.cacheable) || !st.cacheable[row.Index] {
-		return nil
-	}
-	// Already persisted under the current stamp — by a worker sharing the
-	// store, or by the execution this one resumed — so don't rewrite it;
-	// a store sees each row Put exactly once.
-	if rec, ok := st.store.Get(st.keys[row.Index]); ok && rec.Stamp == st.stamp {
-		return nil
-	}
-	payload, err := expspec.EncodeRowPayload(row)
-	if err != nil {
-		return err
-	}
-	return st.store.Put(resultstore.Record{Key: st.keys[row.Index], Stamp: st.stamp, Payload: payload})
-}
-
 // runShard executes one shard POST against worker w, forwarding each
 // decoded row as an event, then terminates with an evShardDone carrying
 // every row it never received — the exact retry pool.
@@ -441,7 +321,7 @@ func (st *execState) runShard(cctx context.Context, wg *sync.WaitGroup, events c
 // failure is deterministic (every worker would fail identically).
 func (st *execState) postShard(cctx context.Context, events chan<- event, w int, rows []int, received map[int]bool) (permanent bool, err error) {
 	reqBody, err := json.Marshal(ShardRequest{
-		Spec: st.specJSON, Scale: ToWire(st.sc), Rows: rows, Stamp: st.stamp, Grid: len(st.cells),
+		Spec: st.specJSON, Scale: ToWire(st.sc), Rows: rows, Stamp: st.b.Stamp(), Grid: len(st.b.Cells()),
 	})
 	if err != nil {
 		return true, err
@@ -477,11 +357,10 @@ func (st *execState) postShard(cctx context.Context, events chan<- event, w int,
 		case rec.Summary != nil:
 			sawSummary = true
 		default:
-			row, err := DecodeShardRow(st.sp, len(st.cells), rec)
+			row, err := DecodeShardRow(st.sp, len(st.b.Cells()), rec)
 			if err != nil {
 				return false, err
 			}
-			row.Cell = st.cells[row.Index]
 			select {
 			case events <- event{kind: evRow, row: row}:
 				received[row.Index] = true

@@ -1,13 +1,14 @@
 package expspec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"mithril/internal/analysis"
 	"mithril/internal/attack"
@@ -175,11 +176,13 @@ type Row struct {
 // ---------------------------------------------------------- exec options
 
 // ExecOptions tunes a spec execution beyond what Scale carries. The zero
-// value (and a nil pointer) mean no progress reporting and a private
-// baseline cache per execution.
+// value (and a nil pointer) mean no progress reporting, no result store
+// and a private baseline cache per execution. Whichever executor sources
+// the rows — the local worker pool or a worker fleet — the execution's
+// Binding applies these options the same way.
 type ExecOptions struct {
-	// Progress, when non-nil, is invoked after each output row completes
-	// with the number of completed rows and the total row count. Calls are
+	// Progress, when non-nil, is invoked as each output row completes with
+	// the number of completed rows and the total row count. Calls are
 	// serialized by the executor, so the hook needs no locking of its own;
 	// it must not block for long — it runs on the sweep's critical path.
 	Progress func(done, total int)
@@ -189,33 +192,12 @@ type ExecOptions struct {
 	// scale geometry, seed, FlipTH, workload — so sharing is always sound.
 	Baselines *BaselineCache
 	// Store, when non-nil, is the content-addressed result store: every
-	// cacheable row is looked up before it simulates (a hit is served
-	// as-is, marked Row.Cached) and written back when a worker completes
-	// it. Keys cover everything that determines a row (see storekey.go),
-	// so a shared store never conflates scales, seeds, or schema
-	// generations; rows stream in the same deterministic order either way.
+	// cacheable row is looked up before it runs (a hit is served as-is,
+	// marked Row.Cached) and written back when it completes, wherever it
+	// was simulated. Keys cover everything that determines a row (see
+	// storekey.go), so a shared store never conflates scales, seeds, or
+	// schema generations; output bytes are the same either way.
 	Store resultstore.Store
-}
-
-func (o *ExecOptions) progress() func(done, total int) {
-	if o == nil {
-		return nil
-	}
-	return o.Progress
-}
-
-func (o *ExecOptions) baselines() *BaselineCache {
-	if o == nil || o.Baselines == nil {
-		return NewBaselineCache()
-	}
-	return o.Baselines
-}
-
-func (o *ExecOptions) store() resultstore.Store {
-	if o == nil {
-		return nil
-	}
-	return o.Store
 }
 
 // BaselineCache is a single-flight cache of unprotected baseline runs,
@@ -527,26 +509,27 @@ func (s *Spec) RunAt(sc Scale) (*Result, error) {
 // options: the sweep stops claiming cells when ctx is cancelled and
 // in-flight simulations abort mid-run, opts.Progress observes per-row
 // completion, and opts.Baselines shares unprotected runs across
-// executions. A nil opts behaves like RunAt.
+// executions. A nil opts behaves like RunAt. It is the batch form of
+// StreamAt: the row stream drained into NewResult.
 func (s *Spec) RunAtContext(ctx context.Context, sc Scale, opts *ExecOptions) (*Result, error) {
-	rr, err := s.newRowRunner(sc, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := sweep.RunContext(ctx, sc.Jobs, len(rr.rows), rr.run)
-	if err != nil {
-		return nil, err
+	var rows []Row
+	for row, err := range s.StreamAt(ctx, sc, opts) {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
 	return s.NewResult(sc, rows)
 }
 
-// NewResult assembles completed rows into a Result. Rows must arrive in
-// the order the Result should emit them — grid order for a full run (a
-// distributed merge sorts by Row.Index before calling this) — and each
-// must carry the point matching the spec's kind; a row without one means
-// the caller mixed rows from a different spec or dropped a shard, which
-// is an error here rather than a panic at emission time.
+// NewResult assembles completed rows into a Result, sorting them (in
+// place) by Row.Index into grid order, so rows may arrive in any order —
+// the completion order a stream yields them in, local or distributed.
+// Each row must carry the point matching the spec's kind; a row without
+// one means the caller mixed rows from a different spec or dropped a
+// shard, which is an error here rather than a panic at emission time.
 func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Index, b.Index) })
 	res := &Result{Spec: s, Scale: sc}
 	for _, row := range rows {
 		if row.Cached {
@@ -618,18 +601,24 @@ func (s *Spec) StreamAt(ctx context.Context, sc Scale, opts *ExecOptions) iter.S
 // request cleanly instead of discovering the error after committing to a
 // 200 and an NDJSON header.
 func (s *Spec) StreamRowsAt(ctx context.Context, sc Scale, rows []int, opts *ExecOptions) (iter.Seq2[Row, error], error) {
-	rr, err := s.newRowRunner(sc, opts, rows)
+	b, err := s.Bind(sc, rows, opts)
 	if err != nil {
 		return nil, err
 	}
-	seq := func(yield func(Row, error) bool) {
-		for iv, err := range sweep.StreamContext(ctx, sc.Jobs, len(rr.rows), rr.run) {
-			if !yield(iv.V, err) || err != nil {
+	seq, err := b.Rows(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return func(yield func(Row, error) bool) {
+		for row, err := range seq {
+			if err == nil {
+				row, err = b.Complete(row)
+			}
+			if !yield(row, err) || err != nil {
 				return
 			}
 		}
-	}
-	return seq, nil
+	}, nil
 }
 
 // seeds resolves the seed axis (empty: the scale's single seed).
@@ -697,94 +686,36 @@ func (n *needSet) workload(seed uint64, name string) bool { return n.workloads[s
 func (n *needSet) attack(seed uint64, name string) bool   { return n.attacks[seedName{seed, name}] }
 func (n *needSet) anyAttack(name string) bool             { return n.attackAny[name] }
 
-// rowRunner executes one spec at one scale, one output row at a time: the
-// shared unit behind RunAtContext (batch, grid order), StreamAt
-// (completion order), and StreamRowsAt (an explicit row-index subset —
-// the shard a distributed worker executes). Precomputed per-seed state
-// keeps row jobs pure.
+// rowRunner executes the rows of one Binding on the local worker pool,
+// one output row at a time: the unit behind Binding.Rows, and so behind
+// RunAtContext, StreamAt and StreamRowsAt (an explicit row-index subset —
+// the shard a distributed worker executes) and the trace rows a fleet
+// coordinator keeps. Precomputed per-seed state keeps row jobs pure.
 type rowRunner struct {
-	spec  *Spec
-	sc    Scale
-	r     *runner
-	cells []Cell
-	// rows maps job index to grid index: the row-index subset a shard
-	// executes, or the identity over every cell for a full run. Per-kind
-	// state (workloads, attacks, baselines) is prebuilt only for the cells
-	// these rows name, so a shard never touches inputs it will not
-	// simulate — in particular, a worker handed a shard of a spec that
-	// also names trace-file workloads never opens those files unless the
-	// shard includes their rows.
+	b *Binding
+	r *runner
+	// rows maps job index to grid index. Per-kind state (workloads,
+	// attacks, baselines) is prebuilt only for the cells these rows name,
+	// so a shard never touches inputs it will not simulate — in
+	// particular, a worker handed a shard of a spec that also names
+	// trace-file workloads never opens those files unless the shard
+	// includes their rows.
 	rows []int
 
 	sets      map[uint64]*seedSet       // comparison
 	workloads map[uint64]trace.Workload // configgrid
 	mapper    *mc.AddressMapper         // safety
 
-	// Result-store binding: keys/cacheable are indexed like cells and
-	// precomputed before the sweep starts, so bad attack spellings fail
-	// loudly up front and row jobs stay pure lookups.
-	store     resultstore.Store
-	stamp     string
-	keys      []resultstore.Key
-	cacheable []bool
-
-	done     int
-	total    int
-	mu       sync.Mutex
-	onRow    func(done, total int)
 	baseline func(ctx context.Context, seed uint64, name string, w trace.Workload) (sim.Result, error) // adth
 }
 
-// newRowRunner validates the spec and binds the per-kind state for the
-// named grid rows (nil: every expanded cell). Subset indices must be
-// in-range and free of duplicates — a duplicated row would double-count
-// in every consumer and a wild index has no cell to realize.
-func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rr := &rowRunner{
-		spec:  s,
-		sc:    sc,
-		r:     newRunner(sc, opts.baselines()),
-		cells: s.Expand(sc),
-		onRow: opts.progress(),
-	}
-	if rows == nil {
-		rr.rows = make([]int, len(rr.cells))
-		for i := range rr.rows {
-			rr.rows[i] = i
-		}
-	} else {
-		seen := make(map[int]bool, len(rows))
-		for _, i := range rows {
-			if i < 0 || i >= len(rr.cells) {
-				return nil, fmt.Errorf("spec %q: row %d out of range (grid has %d rows)", s.Name, i, len(rr.cells))
-			}
-			if seen[i] {
-				return nil, fmt.Errorf("spec %q: duplicate row %d in subset", s.Name, i)
-			}
-			seen[i] = true
-		}
-		rr.rows = append([]int(nil), rows...)
-	}
-	rr.total = len(rr.rows)
-	if st := opts.store(); st != nil {
-		rr.store = st
-		rr.stamp = StoreStamp()
-		rr.keys = make([]resultstore.Key, len(rr.cells))
-		rr.cacheable = make([]bool, len(rr.cells))
-		for _, i := range rr.rows {
-			key, ok, err := s.cellKey(sc, rr.cells[i], rr.stamp)
-			if err != nil {
-				return nil, err
-			}
-			rr.keys[i], rr.cacheable[i] = key, ok
-		}
-	}
+// newRowRunner binds the per-kind state for the named grid rows.
+func (b *Binding) newRowRunner(rows []int) (*rowRunner, error) {
+	s, sc := b.spec, b.sc
+	rr := &rowRunner{b: b, r: newRunner(sc, b.baselines), rows: rows}
 	// The per-kind state below is prebuilt only for the subset's cells:
 	// needs records which (seed, workload/attack) pairs the subset touches.
-	needs := newNeedSet(rr.cells, rr.rows)
+	needs := newNeedSet(b.cells, rows)
 	// buildNamed resolves one workloads-axis name. Trace replays are
 	// seed-independent, so one build (one file parse) serves every seed.
 	traceShared := map[string]trace.Workload{}
@@ -882,92 +813,39 @@ func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner
 }
 
 // run computes the j-th subset row (grid row rr.rows[j]; the emitted
-// Row.Index is always the grid index). It is safe for concurrent
-// invocation across distinct j; per-row scheme instances are built fresh,
-// exactly as the pre-streaming executor built one per simulation cell.
+// Row.Index is always the grid index), serving it from the store when the
+// binding holds it. It is safe for concurrent invocation across distinct
+// j; per-row scheme instances are built fresh, exactly as the
+// pre-streaming executor built one per simulation cell.
 func (rr *rowRunner) run(ctx context.Context, j int) (Row, error) {
 	i := rr.rows[j]
-	row := Row{Index: i, Cell: rr.cells[i]}
-	if rr.cachedRow(i, &row) {
-		rr.reportProgress()
+	if row, ok := rr.b.Hit(i); ok {
 		return row, nil
 	}
+	c := rr.b.cells[i]
+	row := Row{Index: i, Cell: c}
 	var err error
-	switch rr.spec.Kind {
+	switch rr.b.spec.Kind {
 	case Comparison:
-		row.Perf, err = rr.comparisonRow(ctx, rr.cells[i])
+		row.Perf, err = rr.comparisonRow(ctx, c)
 	case SafetyKind:
-		row.Safety, err = rr.safetyRow(ctx, rr.cells[i])
+		row.Safety, err = rr.safetyRow(ctx, c)
 	case ConfigGrid:
-		row.Grid, err = rr.configGridRow(ctx, rr.cells[i])
+		row.Grid, err = rr.configGridRow(ctx, c)
 	case AdTHSweep:
-		row.AdTH, err = rr.adthRow(ctx, rr.cells[i])
+		row.AdTH, err = rr.adthRow(ctx, c)
 	}
 	if err != nil {
 		return Row{}, err
 	}
-	if err := rr.storeRow(i, row); err != nil {
-		return Row{}, err
-	}
-	rr.reportProgress()
 	return row, nil
-}
-
-// cachedRow serves row i from the result store when possible. Any defect
-// in a stored record — wrong stamp, undecodable payload, a point of the
-// wrong kind — is a miss (the row re-simulates and overwrites it), never
-// an error: the store is an accelerator, not a dependency.
-func (rr *rowRunner) cachedRow(i int, row *Row) bool {
-	if rr.store == nil || !rr.cacheable[i] {
-		return false
-	}
-	rec, ok := rr.store.Get(rr.keys[i])
-	if !ok || rec.Stamp != rr.stamp {
-		return false
-	}
-	if !decodeRow(rr.spec.Kind, rec.Payload, row) {
-		return false
-	}
-	row.Cached = true
-	return true
-}
-
-// storeRow writes a freshly simulated row back to the result store. A
-// write failure is loud — a -store directory that stops accepting writes
-// mid-sweep means rows the operator asked to persist are being lost, and
-// silently degrading to compute-only would hide that until the re-run.
-func (rr *rowRunner) storeRow(i int, row Row) error {
-	if rr.store == nil || !rr.cacheable[i] {
-		return nil
-	}
-	payload, err := encodeRow(row)
-	if err != nil {
-		return err
-	}
-	return rr.store.Put(resultstore.Record{Key: rr.keys[i], Stamp: rr.stamp, Payload: payload})
-}
-
-// reportProgress serializes the Progress hook so callers need no locking.
-// Invoking the hook inside the critical section is the documented
-// contract — Progress hooks must be fast and must not block (see
-// ExecOptions.Progress) — which is exactly what lockheld cannot prove
-// about a caller-supplied function value, hence the explained allow.
-func (rr *rowRunner) reportProgress() {
-	if rr.onRow == nil {
-		return
-	}
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	rr.done++
-	//mithril:allow lockheld serialized Progress hook; contract: hooks must not block
-	rr.onRow(rr.done, rr.total)
 }
 
 // buildScheme constructs a fresh scheme instance for one simulation. Every
 // simulation gets its own instance — tracker state must never leak between
 // grid cells (or between the member workloads of a "normal" row).
 func (rr *rowRunner) buildScheme(name string, flipTH int, seed uint64) (mc.Scheme, error) {
-	return mitigation.Build(name, mitigation.Options{Timing: rr.sc.Params(), FlipTH: flipTH, Seed: seed})
+	return mitigation.Build(name, mitigation.Options{Timing: rr.b.sc.Params(), FlipTH: flipTH, Seed: seed})
 }
 
 // comparisonRow measures one output row of a comparison sweep: a single
@@ -985,7 +863,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 		if err != nil {
 			return nil, err
 		}
-		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, adversarialWorkload(rr.sc, c.Seed, scheme))
+		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, adversarialWorkload(rr.b.sc, c.Seed, scheme))
 		if err != nil {
 			return nil, err
 		}
@@ -1063,10 +941,10 @@ func (rr *rowRunner) safetyRow(ctx context.Context, c Cell) (*SafetyResult, erro
 	if err != nil {
 		return nil, err
 	}
-	cfg := BaseSimConfig(c.FlipTH, rr.sc)
+	cfg := BaseSimConfig(c.FlipTH, rr.b.sc)
 	cfg.Scheme = scheme
 	cfg.Workload = []trace.Generator{safetyBackground(), gen}
-	cfg.InstrPerCore = rr.sc.InstrPerCore * attackInstrFactor
+	cfg.InstrPerCore = rr.b.sc.InstrPerCore * attackInstrFactor
 	cfg.RequireCores = 1 // benign core only
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
@@ -1083,7 +961,7 @@ func (rr *rowRunner) safetyRow(ctx context.Context, c Cell) (*SafetyResult, erro
 // (FlipTH, RFMTH) grid cell.
 func (rr *rowRunner) configGridRow(ctx context.Context, c Cell) (*Figure9Point, error) {
 	w := rr.workloads[c.Seed]
-	opt := mitigation.Options{Timing: rr.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
+	opt := mitigation.Options{Timing: rr.b.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
 	m, err := rr.r.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w)
 	if err != nil {
 		return nil, err
@@ -1112,14 +990,14 @@ func adOrDisabled(ad int) int {
 // adthRow sweeps the workload classes for one (seed, config, AdTH) point,
 // reporting energy overheads plus the Theorem 2 table growth.
 func (rr *rowRunner) adthRow(ctx context.Context, c Cell) (*Figure7Point, error) {
-	p := rr.sc.Params()
+	p := rr.b.sc.Params()
 	pt := &Figure7Point{FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: c.AdTH, Seed: c.Seed,
 		EnergyOverheadPct: map[string]float64{}}
 	if pct, ok := analysis.AdditionalNEntryPercent(p, c.FlipTH, c.RFMTH, c.AdTH); ok {
 		pt.AdditionalNEntryPct = pct
 	}
-	for _, wName := range rr.spec.Axes.Workloads {
-		w := adthWorkloads[wName].build(rr.sc.Cores, c.Seed)
+	for _, wName := range rr.b.spec.Axes.Workloads {
+		w := adthWorkloads[wName].build(rr.b.sc.Cores, c.Seed)
 		base, err := rr.baseline(ctx, c.Seed, wName, w)
 		if err != nil {
 			return nil, err
@@ -1127,7 +1005,7 @@ func (rr *rowRunner) adthRow(ctx context.Context, c Cell) (*Figure7Point, error)
 		scheme := mitigation.NewMithril(mitigation.Options{
 			Timing: p, FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: adOrDisabled(c.AdTH), Seed: c.Seed,
 		})
-		cfg := BaseSimConfig(c.FlipTH, rr.sc)
+		cfg := BaseSimConfig(c.FlipTH, rr.b.sc)
 		cfg.Scheme = scheme
 		cfg.Workload = w.Fresh()
 		res, err := sim.RunContext(ctx, cfg)

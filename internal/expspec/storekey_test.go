@@ -1,7 +1,9 @@
 package expspec
 
 import (
+	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"mithril/internal/resultstore"
@@ -198,22 +200,113 @@ func TestStoredRowRoundTrip(t *testing.T) {
 		RelativePerformance: 98.7654321012345, EnergyOverheadPct: 1.0000000000000002,
 		TableKB: 33.3, Safe: true,
 	}}
-	payload, err := encodeRow(row)
+	payload, err := EncodeRowPayload(row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back Row
-	if !decodeRow(Comparison, payload, &back) {
-		t.Fatal("decodeRow rejected a matching payload")
+	if !DecodeRowPayload(Comparison, payload, &back) {
+		t.Fatal("DecodeRowPayload rejected a matching payload")
 	}
 	if *back.Perf != *row.Perf {
 		t.Fatalf("round trip drifted: %+v vs %+v", back.Perf, row.Perf)
 	}
 	var wrong Row
-	if decodeRow(SafetyKind, payload, &wrong) {
-		t.Fatal("decodeRow accepted a comparison payload for a safety row")
+	if DecodeRowPayload(SafetyKind, payload, &wrong) {
+		t.Fatal("DecodeRowPayload accepted a comparison payload for a safety row")
 	}
-	if decodeRow(Comparison, json.RawMessage(`{not json`), &wrong) {
-		t.Fatal("decodeRow accepted garbage")
+	if DecodeRowPayload(Comparison, json.RawMessage(`{not json`), &wrong) {
+		t.Fatal("DecodeRowPayload accepted garbage")
+	}
+}
+
+// trafficStore counts store calls per key.
+type trafficStore struct {
+	resultstore.Store
+	mu         sync.Mutex
+	gets, puts map[resultstore.Key]int
+}
+
+func newTrafficStore() *trafficStore {
+	return &trafficStore{Store: resultstore.NewMem(), gets: map[resultstore.Key]int{}, puts: map[resultstore.Key]int{}}
+}
+
+func (s *trafficStore) Get(k resultstore.Key) (resultstore.Record, bool) {
+	s.mu.Lock()
+	s.gets[k]++
+	s.mu.Unlock()
+	return s.Store.Get(k)
+}
+
+func (s *trafficStore) Put(rec resultstore.Record) error {
+	s.mu.Lock()
+	s.puts[rec.Key]++
+	s.mu.Unlock()
+	return s.Store.Put(rec)
+}
+
+// TestBindingStoreTraffic pins what a binding asks of the store: a warm
+// row costs exactly one Get and no Put, a cold row is Put once, a row
+// already stored identically is not Put again, and a damaged record under
+// the current stamp is a miss that the row's Complete overwrites.
+func TestBindingStoreTraffic(t *testing.T) {
+	s := tiny()
+	sc := streamScale(t, 2)
+	st := newTrafficStore()
+	drain := func() *Result {
+		t.Helper()
+		res, err := s.RunAtContext(context.Background(), sc, &ExecOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	drain()
+	_, keys, _, err := s.StoreKeys(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if st.puts[k] != 1 {
+			t.Fatalf("cold run: key Put %d times, want 1", st.puts[k])
+		}
+	}
+
+	st.gets, st.puts = map[resultstore.Key]int{}, map[resultstore.Key]int{}
+	if res := drain(); res.RowsCached != len(keys) {
+		t.Fatalf("warm run: RowsCached = %d, want %d", res.RowsCached, len(keys))
+	}
+	for _, k := range keys {
+		if st.gets[k] != 1 || st.puts[k] != 0 {
+			t.Fatalf("warm run: key probed %d times and Put %d times, want 1 and 0", st.gets[k], st.puts[k])
+		}
+	}
+
+	b, err := s.Bind(sc, nil, &ExecOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, ok := b.Hit(0)
+	if !ok {
+		t.Fatal("warm row 0 missed")
+	}
+	row.Cached = false // as if a worker sharing the store simulated it
+	st.puts = map[resultstore.Key]int{}
+	if _, err := b.Complete(row); err != nil {
+		t.Fatal(err)
+	}
+	if st.puts[keys[0]] != 0 {
+		t.Fatal("Complete rewrote a record the store already held")
+	}
+
+	if err := st.Put(resultstore.Record{Key: keys[0], Stamp: b.Stamp(), Payload: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Hit(0); ok {
+		t.Fatal("a record with no point for the kind was served as a hit")
+	}
+	st.puts = map[resultstore.Key]int{}
+	if res := drain(); res.RowsSimulated != 1 || st.puts[keys[0]] != 1 {
+		t.Fatalf("damaged record: simulated %d rows and Put it %d times, want 1 and 1", res.RowsSimulated, st.puts[keys[0]])
 	}
 }

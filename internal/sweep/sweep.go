@@ -9,18 +9,10 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// isCancellation reports whether err is a context cancellation/deadline —
-// the error shape a cell aborted by the sweep's own first-error cancel
-// returns, as opposed to a genuine cell failure.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // DefaultJobs is the worker count used when a sweep is configured with
 // jobs <= 0: one worker per available core.
@@ -29,11 +21,10 @@ func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 // Run executes fn(i) for every i in [0, n) on up to jobs workers and
 // returns the results in index order, so a parallel sweep emits byte-
 // identical output to the serial path. jobs <= 0 means DefaultJobs();
-// jobs == 1 runs the plain serial loop. On failure, the error from the
-// lowest-index failing cell that ran is returned (a lower-index cell
-// skipped by cancellation may itself have failed), cells that have not
-// started are cancelled, and in-flight cells finish (their results are
-// discarded).
+// jobs == 1 runs the plain serial loop. On failure, the error of the first
+// cell to fail is returned (on the serial path, the lowest failing index),
+// cells that have not started are cancelled, and in-flight cells finish
+// (their results are discarded).
 func Run[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	//mithril:allow ctxflow deprecated ctx-less shim; RunContext is the ctx path
 	return RunContext(context.Background(), jobs, n,
@@ -47,101 +38,14 @@ func Run[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 // cancelled when any cell fails, so a long-running cell can abandon work
 // the sweep will discard anyway. A cell error still wins over the derived
 // cancellation it causes; a parent cancellation wins over errors that cells
-// report because of it.
+// report because of it. It is StreamContext collected into index order.
 func RunContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if jobs <= 0 {
-		jobs = DefaultJobs()
-	}
-	if jobs > n {
-		jobs = n
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	out := make([]T, n)
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(cctx, i)
-			if err != nil {
-				return nil, sweepErr(ctx, err)
-			}
-			out[i] = v
+	for iv, err := range StreamContext(ctx, jobs, n, fn) {
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-
-	var (
-		next      atomic.Int64
-		failed    atomic.Bool
-		mu        sync.Mutex
-		firstErr  error // lowest-index genuine cell error
-		errIdx    = n
-		cancelErr error // first cancellation-shaped cell error, the fallback
-		panicked  any
-		wg        sync.WaitGroup
-	)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic in fn must stay recoverable by Run's caller, as it
-			// is on the serial path: capture it, cancel the sweep, and
-			// re-raise on the calling goroutine after Wait.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-					failed.Store(true)
-					cancel()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() || cctx.Err() != nil {
-					return
-				}
-				v, err := fn(cctx, i)
-				if err != nil {
-					mu.Lock()
-					// Cancellation-shaped errors are almost always cells
-					// aborted by another cell's failure (the derived ctx
-					// cancel) — they must not mask the genuine error at
-					// any index. Keep them only as a fallback for the
-					// degenerate sweep whose cells all cancelled
-					// themselves.
-					if isCancellation(err) {
-						if cancelErr == nil {
-							cancelErr = err
-						}
-					} else if i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					cancel()
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	if firstErr != nil {
-		return nil, sweepErr(ctx, firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
+		out[iv.I] = iv.V
 	}
 	return out, nil
 }
